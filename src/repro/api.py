@@ -21,7 +21,9 @@ execution backend from the spec's capabilities and the input:
 
 * a :class:`BulkGraph` input (or a networkx graph with
   ``n >= AUTO_VECTORIZE_THRESHOLD``) dispatches to the vectorized bulk
-  engine whenever the algorithm supports it;
+  engine whenever the algorithm supports it, at any size -- the sharded
+  multiprocess engine runs only when asked for (``shards=N`` or
+  ``backend="sharded"``);
 * ``collect_trace=True`` restricts dispatch to the backends named in the
   spec's ``trace_backends`` -- the simulated engine records event-based
   :class:`~repro.simulator.trace.ExecutionTrace` objects, the vectorized
@@ -102,15 +104,6 @@ DISPATCH_BACKENDS = (AUTO,) + BACKENDS
 #: threshold is conservative: small interactive graphs keep the
 #: message-level simulated engine, sweeps and large graphs go bulk.
 AUTO_VECTORIZE_THRESHOLD = 512
-
-#: Inputs at or above this node count dispatch to the *sharded* multiprocess
-#: engine under ``backend="auto"`` -- when the algorithm supports it, the
-#: host has more than one usable CPU, and POSIX ``fork`` is available.  The
-#: sharded engine is bitwise-equal to the vectorized one, so the switch is
-#: purely a wall-clock/memory decision: below ~10⁵ nodes process start-up
-#: dominates, above it the per-shard slabs win.
-AUTO_SHARD_THRESHOLD = 200_000
-
 
 # ---------------------------------------------------------------------- #
 # RunReport: the one normalised result schema                             #
@@ -566,10 +559,10 @@ def resolve_backend(
        raises).
     3. A CSR :class:`BulkGraph` input requires a bulk engine (vectorized
        or sharded -- there are no per-node programs to run it through).
-    4. Otherwise ``auto`` picks the sharded engine for inputs with
-       ``n >= AUTO_SHARD_THRESHOLD`` when the spec supports it and the
-       host has multiple usable CPUs, the vectorized engine for
-       ``n >= AUTO_VECTORIZE_THRESHOLD``, and the simulated engine below.
+    4. Otherwise ``auto`` picks the vectorized engine for
+       ``n >= AUTO_VECTORIZE_THRESHOLD`` and the simulated engine below.
+       Input size never selects the sharded engine: only ``shards=N`` (or
+       an explicit ``backend="sharded"``) runs it.
 
     Any impossible combination raises :class:`CapabilityError` naming the
     algorithm, the capability and the supporting backends.  The return
@@ -609,16 +602,10 @@ def resolve_backend(
         )
 
     def _auto_shard() -> bool:
-        if not _shardable():
-            return False
-        if shards is not None:
-            return True
-        from repro.simulator.sharded import available_cpu_count
-
-        return (
-            _node_count(graph) >= AUTO_SHARD_THRESHOLD
-            and available_cpu_count() >= 2
-        )
+        # Only an explicit shards=N picks the sharded engine under auto:
+        # at every measured size it is slower than the vectorized engine
+        # it wraps and forks a copy of the input per worker.
+        return shards is not None and _shardable()
 
     is_bulk = isinstance(graph, BulkGraph)
     if is_bulk:

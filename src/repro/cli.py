@@ -126,7 +126,9 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
             "capabilities and input -- vectorized for CSR/large graphs, "
             "simulated otherwise; 'simulated' forces per-node message "
             "passing (traces, message-level fidelity), 'vectorized' forces "
-            "the bulk-synchronous array engine (same results, much faster)"
+            "the bulk-synchronous array engine (same results, much faster), "
+            "'sharded' the multiprocess superstep engine (same results; "
+            "auto never picks it by size)"
         ),
     )
 
@@ -149,8 +151,8 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             "run over a whole graph_suite scale instead of one generated "
             "graph; overrides --family/--n/--radius/--p/--degree "
             "(xlarge and huge instances are CSR-native; the default "
-            "--backend auto runs xlarge vectorized and huge sharded when "
-            "multiple CPUs are available)"
+            "--backend auto runs both vectorized, and --shards N runs "
+            "them on the sharded engine)"
         ),
     )
 

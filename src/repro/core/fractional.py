@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.core.vectorized import (
     BACKENDS,
@@ -25,14 +26,14 @@ from repro.core.vectorized import (
     VECTORIZED,
     CapabilityError,
     algorithm2_exchanges,
-    resolve_bulk_input,
+    prepare_bulk_input,
     run_algorithm2_bulk,
     run_algorithm2_bulk_faulted,
     run_algorithm2_bulk_multi_k,
     validate_backend,
 )
 from repro.simulator.columnar import ColumnarTrace
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec, FaultSummary
 from repro.simulator.message import Message
@@ -67,6 +68,10 @@ class FractionalResult:
         The locality parameter the algorithm was run with.
     max_degree:
         The maximum degree Δ of the input graph.
+    x_array:
+        The same values as a float array indexed like the CSR's sorted
+        nodes, on the bulk backends (``None`` on the simulated one).  The
+        pipeline hands it to the feasibility check and the rounding.
     """
 
     x: dict[Hashable, float]
@@ -78,6 +83,7 @@ class FractionalResult:
     max_degree: int
     #: What the fault schedule did to this run (``None`` for fault-free runs).
     faults: FaultSummary | None = None
+    x_array: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class Algorithm2Program(GeneratorNodeProgram):
@@ -200,6 +206,7 @@ def _package_fractional(bulk, values, metrics, k, true_delta, trace=None, faults
         k=k,
         max_degree=true_delta,
         faults=faults,
+        x_array=values,
     )
 
 
@@ -239,23 +246,16 @@ def _sharded_driver(bulk, shards, executor):
     return ShardedDriver(bulk, shards), True
 
 
-def _vectorized_fractional_result(
-    graph, k, collect_trace, run_bulk, true_delta, bulk=None,
-    algorithm="approximate_fractional_mds",
-):
+def _vectorized_fractional_result(bulk, k, collect_trace, run_bulk, true_delta):
     """Shared vectorized-backend dispatch for Algorithms 2 and 3.
 
     ``run_bulk`` is the bulk runner bound to its algorithm parameters; it
     receives the :class:`BulkGraph` and an optional
     :class:`~repro.simulator.columnar.ColumnarTrace` and returns
-    ``(values, metrics)``.  ``bulk`` lets the pipeline reuse one CSR build
-    across both phases; ``algorithm`` is kept for signature stability.
-    When ``collect_trace`` is set the engine fills a columnar trace (the
-    per-node programs' events in structure-of-arrays form) that lands on
-    ``FractionalResult.trace``.
+    ``(values, metrics)``.  When ``collect_trace`` is set the engine fills
+    a columnar trace (the per-node programs' events in structure-of-arrays
+    form) that lands on ``FractionalResult.trace``.
     """
-    if bulk is None:
-        bulk = BulkGraph.from_graph(graph)
     trace = ColumnarTrace() if collect_trace else None
     values, metrics = run_bulk(bulk, trace)
     return _package_fractional(bulk, values, metrics, k, true_delta, trace=trace)
@@ -313,7 +313,7 @@ def approximate_fractional_mds(
         (orders of magnitude faster on large graphs); ``"sharded"`` runs
         the same vectorized kernel as multiprocess bulk-synchronous
         supersteps over hash-partitioned CSR slabs -- bitwise identical
-        again, and the only backend that scales to n ≥ 10⁶.
+        again.
     shards:
         Worker-process count for the sharded backend (``None`` lets the
         engine pick one per usable CPU).  Ignored by the other backends.
@@ -335,12 +335,13 @@ def approximate_fractional_mds(
     FractionalResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
+    faulted = faults is not None or _schedule is not None
+    bulk = prepare_bulk_input(
+        graph, backend, _bulk, build=backend != SIMULATED or faulted
+    )
     if k < 1:
         raise ValueError("k must be at least 1")
-    true_delta = max_degree(graph)
+    true_delta = max_degree(bulk if bulk is not None else graph)
     if delta is None:
         delta = true_delta
     elif delta < true_delta:
@@ -348,7 +349,7 @@ def approximate_fractional_mds(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
 
-    if faults is not None or _schedule is not None:
+    if faulted:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
                 "approximate_fractional_mds",
@@ -356,32 +357,31 @@ def approximate_fractional_mds(
                 backend,
                 (SIMULATED,),
             )
-        csr = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         exchanges = algorithm2_exchanges(k)
-        schedule = _resolve_fault_schedule(faults, _schedule, csr, exchanges)
+        schedule = _resolve_fault_schedule(faults, _schedule, bulk, exchanges)
         summary = schedule.summary(exchanges)
 
         if backend == SHARDED:
-            driver, owns = _sharded_driver(csr, shards, _executor)
+            driver, owns = _sharded_driver(bulk, shards, _executor)
             try:
                 values, metrics = driver.run_algorithm2_faulted(k, delta, schedule)
             finally:
                 if owns:
                     driver.close()
             return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
+                bulk, values, metrics, k, true_delta, faults=summary
             )
 
         if backend == VECTORIZED:
-            values, metrics = run_algorithm2_bulk_faulted(csr, k, delta, schedule)
+            values, metrics = run_algorithm2_bulk_faulted(bulk, k, delta, schedule)
             return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
+                bulk, values, metrics, k, true_delta, faults=summary
             )
 
         network = Network(graph, _program_factory(k, delta), seed=seed)
         runner = SynchronousRunner(
             network,
-            fault_model=schedule.fault_model(csr.nodes),
+            fault_model=schedule.fault_model(bulk.nodes),
             max_rounds=2 * k * k + 10,
             collect_trace=collect_trace,
         )
@@ -392,7 +392,7 @@ def approximate_fractional_mds(
             )
         # Crashed programs never reach result(); their frozen in-place
         # state carries the x-value they died with.
-        x = {node: float(network.program(node).x) for node in csr.nodes}
+        x = {node: float(network.program(node).x) for node in bulk.nodes}
         return FractionalResult(
             x=x,
             objective=float(sum(x.values())),
@@ -412,7 +412,6 @@ def approximate_fractional_mds(
                 SHARDED,
                 (SIMULATED, VECTORIZED),
             )
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         driver, owns = _sharded_driver(bulk, shards, _executor)
         try:
             values, metrics = driver.run_algorithm2_multi_k((k,), delta)[k]
@@ -423,12 +422,11 @@ def approximate_fractional_mds(
 
     if backend == VECTORIZED:
         return _vectorized_fractional_result(
-            graph,
+            bulk,
             k,
             collect_trace,
             lambda bulk, trace: run_algorithm2_bulk(bulk, k=k, delta=delta, trace=trace),
             true_delta,
-            bulk=_bulk,
         )
 
     network = Network(graph, _program_factory(k, delta), seed=seed)
@@ -477,25 +475,22 @@ def approximate_fractional_mds_multi_k(
     Returns ``{k: FractionalResult}`` for every requested k.
     """
     validate_backend(backend, supported=BACKENDS)
-    if backend not in (VECTORIZED, SHARDED):
+    bulk = prepare_bulk_input(graph, backend, _bulk)
+    if backend == SIMULATED:
         return {
             k: approximate_fractional_mds(
-                graph, k=k, seed=seed, delta=delta, backend=backend
+                graph, k=k, seed=seed, delta=delta, backend=backend, _bulk=bulk
             )
             for k in k_values
         }
 
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
-    true_delta = max_degree(graph)
+    true_delta = bulk.max_degree
     if delta is None:
         delta = true_delta
     elif delta < true_delta:
         raise ValueError(
             f"delta={delta} is smaller than the true maximum degree {true_delta}"
         )
-    bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
     if backend == SHARDED:
         for k in k_values:
             if k < 1:

@@ -39,13 +39,13 @@ from repro.core.vectorized import (
     VECTORIZED,
     CapabilityError,
     algorithm3_exchanges,
-    resolve_bulk_input,
+    prepare_bulk_input,
     run_algorithm3_bulk,
     run_algorithm3_bulk_faulted,
     run_algorithm3_bulk_multi_k,
     validate_backend,
 )
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec
 from repro.simulator.network import Network
@@ -244,7 +244,7 @@ def approximate_fractional_mds_unknown_delta(
         ``"simulated"`` for per-node message passing, ``"vectorized"`` for
         the bulk-synchronous array engine (identical x-vectors, far faster
         on large graphs), ``"sharded"`` for the multiprocess superstep
-        engine (identical again; scales to n ≥ 10⁶).
+        engine (identical again).
     shards:
         Worker-process count for the sharded backend (``None`` picks one
         per usable CPU).  Ignored by the other backends.
@@ -263,13 +263,15 @@ def approximate_fractional_mds_unknown_delta(
     FractionalResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
+    faulted = faults is not None or _schedule is not None
+    bulk = prepare_bulk_input(
+        graph, backend, _bulk, build=backend != SIMULATED or faulted
+    )
     if k < 1:
         raise ValueError("k must be at least 1")
+    true_delta = max_degree(bulk if bulk is not None else graph)
 
-    if faults is not None or _schedule is not None:
+    if faulted:
         if collect_trace and backend != SIMULATED:
             raise CapabilityError(
                 "approximate_fractional_mds_unknown_delta",
@@ -277,33 +279,31 @@ def approximate_fractional_mds_unknown_delta(
                 backend,
                 (SIMULATED,),
             )
-        csr = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         exchanges = algorithm3_exchanges(k)
-        schedule = _resolve_fault_schedule(faults, _schedule, csr, exchanges)
+        schedule = _resolve_fault_schedule(faults, _schedule, bulk, exchanges)
         summary = schedule.summary(exchanges)
-        true_delta = max_degree(graph)
 
         if backend == SHARDED:
-            driver, owns = _sharded_driver(csr, shards, _executor)
+            driver, owns = _sharded_driver(bulk, shards, _executor)
             try:
                 values, metrics = driver.run_algorithm3_faulted(k, schedule)
             finally:
                 if owns:
                     driver.close()
             return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
+                bulk, values, metrics, k, true_delta, faults=summary
             )
 
         if backend == VECTORIZED:
-            values, metrics = run_algorithm3_bulk_faulted(csr, k, schedule)
+            values, metrics = run_algorithm3_bulk_faulted(bulk, k, schedule)
             return _package_fractional(
-                csr, values, metrics, k, true_delta, faults=summary
+                bulk, values, metrics, k, true_delta, faults=summary
             )
 
         network = Network(graph, _program_factory(k), seed=seed)
         runner = SynchronousRunner(
             network,
-            fault_model=schedule.fault_model(csr.nodes),
+            fault_model=schedule.fault_model(bulk.nodes),
             max_rounds=4 * k * k + 6 * k + 12,
             collect_trace=collect_trace,
         )
@@ -312,7 +312,7 @@ def approximate_fractional_mds_unknown_delta(
             raise RuntimeError(
                 "Algorithm 3 did not terminate within its round budget"
             )
-        x = {node: float(network.program(node).x) for node in csr.nodes}
+        x = {node: float(network.program(node).x) for node in bulk.nodes}
         return FractionalResult(
             x=x,
             objective=float(sum(x.values())),
@@ -332,24 +332,21 @@ def approximate_fractional_mds_unknown_delta(
                 SHARDED,
                 (SIMULATED, VECTORIZED),
             )
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         driver, owns = _sharded_driver(bulk, shards, _executor)
         try:
             values, metrics = driver.run_algorithm3_multi_k((k,))[k]
         finally:
             if owns:
                 driver.close()
-        return _package_fractional(bulk, values, metrics, k, max_degree(graph))
+        return _package_fractional(bulk, values, metrics, k, true_delta)
 
     if backend == VECTORIZED:
         return _vectorized_fractional_result(
-            graph,
+            bulk,
             k,
             collect_trace,
             lambda bulk, trace: run_algorithm3_bulk(bulk, k=k, trace=trace),
-            max_degree(graph),
-            bulk=_bulk,
-            algorithm="approximate_fractional_mds_unknown_delta",
+            true_delta,
         )
 
     network = Network(graph, _program_factory(k), seed=seed)
@@ -370,7 +367,7 @@ def approximate_fractional_mds_unknown_delta(
         metrics=execution.metrics,
         trace=execution.trace,
         k=k,
-        max_degree=max_degree(graph),
+        max_degree=true_delta,
     )
 
 
@@ -396,20 +393,16 @@ def approximate_fractional_mds_unknown_delta_multi_k(
     Returns ``{k: FractionalResult}`` for every requested k.
     """
     validate_backend(backend, supported=BACKENDS)
-    if backend not in (VECTORIZED, SHARDED):
+    bulk = prepare_bulk_input(graph, backend, _bulk)
+    if backend == SIMULATED:
         return {
             k: approximate_fractional_mds_unknown_delta(
-                graph, k=k, seed=seed, backend=backend
+                graph, k=k, seed=seed, backend=backend, _bulk=bulk
             )
             for k in k_values
         }
 
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
-
-    true_delta = max_degree(graph)
-    bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
+    true_delta = bulk.max_degree
     if backend == SHARDED:
         for k in k_values:
             if k < 1:

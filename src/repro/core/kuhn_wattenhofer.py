@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.core.fractional import FractionalResult, approximate_fractional_mds
 from repro.core.fractional_unknown import approximate_fractional_mds_unknown_delta
@@ -46,14 +47,14 @@ from repro.core.vectorized import (
     CapabilityError,
     algorithm2_exchanges,
     algorithm3_exchanges,
-    resolve_bulk_input,
+    prepare_bulk_input,
     validate_backend,
+    x_array_from_mapping,
 )
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSpec
 from repro.domset.repair import RepairReport, repair_dominating_set
 from repro.domset.validation import is_dominating_set
-from repro.graphs.utils import max_degree, validate_simple_graph
 
 
 class FractionalVariant(str, enum.Enum):
@@ -119,6 +120,17 @@ def log_delta_parameter(delta: int) -> int:
     if delta < 0:
         raise ValueError("delta must be non-negative")
     return max(1, math.ceil(math.log(delta + 1.0)))
+
+
+def fractional_values(fractional: FractionalResult, bulk: BulkGraph) -> np.ndarray:
+    """A fractional result's x as an array indexed like ``bulk.nodes``.
+
+    The bulk backends hand their array over as is; the simulated backend's
+    dict is read once in CSR order.
+    """
+    if fractional.x_array is not None:
+        return fractional.x_array
+    return x_array_from_mapping(bulk, fractional.x)
 
 
 def kuhn_wattenhofer_dominating_set(
@@ -206,40 +218,31 @@ def kuhn_wattenhofer_dominating_set(
         )
     if faults is not None and not isinstance(faults, FaultSpec):
         raise TypeError("faults must be a FaultSpec")
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
-    delta = max_degree(graph)
+    # One validation and one CSR build per call (callers running many
+    # pipelines on one graph can pass theirs in); every phase below --
+    # including the simulated one, for Δ, the coins and the checks --
+    # runs on this CSR.
+    bulk = prepare_bulk_input(graph, backend, _bulk)
+    delta = bulk.max_degree
     if k is None:
         k = log_delta_parameter(delta)
     if k < 1:
         raise ValueError("k must be at least 1")
-
-    # One CSR build serves both vectorized phases (callers running many
-    # pipelines on one graph can pass theirs in).
-    if _bulk is not None:
-        bulk = _bulk
-    else:
-        bulk = (
-            BulkGraph.from_graph(graph) if backend in (VECTORIZED, SHARDED) else None
-        )
 
     # Each phase draws its own salted fault pattern; nodes crashed during
     # the fractional phase enter the rounding phase already dead.  Both
     # schedules are materialized once up front from the same CSR so every
     # backend (including each shard worker) sees identical masks.
     frac_schedule = rounding_schedule = None
-    schedule_csr = None
     if faults is not None:
-        schedule_csr = bulk if bulk is not None else BulkGraph.from_graph(graph)
         frac_exchanges = (
             algorithm2_exchanges(k)
             if variant is FractionalVariant.KNOWN_DELTA
             else algorithm3_exchanges(k)
         )
-        frac_schedule = faults.materialize(schedule_csr, rounds=frac_exchanges, salt=0)
+        frac_schedule = faults.materialize(bulk, rounds=frac_exchanges, salt=0)
         rounding_schedule = faults.materialize(
-            schedule_csr,
+            bulk,
             rounds=ROUNDING_EXCHANGES,
             salt=1,
             already_dead=frac_schedule.ever_crashed,
@@ -255,31 +258,25 @@ def kuhn_wattenhofer_dominating_set(
 
             executor = ShardedDriver(bulk, shards)
 
-        if variant is FractionalVariant.KNOWN_DELTA:
-            fractional = approximate_fractional_mds(
-                graph,
-                k=k,
-                seed=seed,
-                collect_trace=collect_trace,
-                backend=backend,
-                _bulk=bulk,
-                _executor=executor,
-                _schedule=frac_schedule,
-            )
-        else:
-            fractional = approximate_fractional_mds_unknown_delta(
-                graph,
-                k=k,
-                seed=seed,
-                collect_trace=collect_trace,
-                backend=backend,
-                _bulk=bulk,
-                _executor=executor,
-                _schedule=frac_schedule,
-            )
+        fractional_phase = (
+            approximate_fractional_mds
+            if variant is FractionalVariant.KNOWN_DELTA
+            else approximate_fractional_mds_unknown_delta
+        )
+        fractional = fractional_phase(
+            graph,
+            k=k,
+            seed=seed,
+            collect_trace=collect_trace,
+            backend=backend,
+            _bulk=bulk,
+            _executor=executor,
+            _schedule=frac_schedule,
+        )
+        x_values = fractional_values(fractional, bulk)
 
         if faults is None:
-            feasible, _ = solution_feasibility(graph, fractional.x, _bulk=bulk)
+            feasible, _ = solution_feasibility(graph, x_values, _bulk=bulk)
             if not feasible:
                 raise RuntimeError(
                     "fractional phase returned an infeasible LP solution; "
@@ -288,7 +285,7 @@ def kuhn_wattenhofer_dominating_set(
 
         rounding = round_fractional_solution(
             graph,
-            fractional.x,
+            x_values,
             seed=seed,
             rule=rounding_rule,
             require_feasible=False,  # checked above (or deliberately skipped)
@@ -304,13 +301,13 @@ def kuhn_wattenhofer_dominating_set(
     dominating_set = rounding.dominating_set
     repair_report = None
     if faults is None:
-        if not is_dominating_set(graph, dominating_set):
+        if not is_dominating_set(bulk, dominating_set):
             raise RuntimeError(
                 "rounding phase returned a non-dominating set; "
                 "this indicates a bug in Algorithm 1's fallback step"
             )
     elif repair:
-        repair_report = repair_dominating_set(schedule_csr, dominating_set)
+        repair_report = repair_dominating_set(bulk, dominating_set)
         dominating_set = repair_report.repaired_set
 
     return PipelineResult(

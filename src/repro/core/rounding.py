@@ -36,15 +36,14 @@ from repro.core.vectorized import (
     ROUNDING_EXCHANGES,
     SHARDED,
     SIMULATED,
-    VECTORIZED,
-    resolve_bulk_input,
+    prepare_bulk_input,
+    rounding_coins,
     run_rounding_bulk,
     run_rounding_bulk_batched,
     run_rounding_bulk_faulted,
     validate_backend,
     x_array_from_mapping,
 )
-from repro.graphs.utils import validate_simple_graph
 from repro.lp.feasibility import check_primal_feasible
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.fault_schedule import FaultSchedule, FaultSpec, FaultSummary
@@ -121,14 +120,26 @@ class Algorithm1Program(GeneratorNodeProgram):
         The node's component of the fractional solution being rounded.
     rule:
         Probability multiplier rule (see :class:`RoundingRule`).
+    coin:
+        The node's uniform coin for line 3 -- its entry of the
+        :func:`~repro.core.vectorized.rounding_coins` vector, which the
+        entry points always pass so every backend flips the same coins.
+        ``None`` draws from the node's own ``ctx.rng`` instead (for
+        programs driven directly through a :class:`Network`).
     """
 
-    def __init__(self, x_value: float, rule: RoundingRule = RoundingRule.LOG) -> None:
+    def __init__(
+        self,
+        x_value: float,
+        rule: RoundingRule = RoundingRule.LOG,
+        coin: float | None = None,
+    ) -> None:
         super().__init__()
         if x_value < 0:
             raise ValueError("fractional values must be non-negative")
         self.x_value = float(x_value)
         self.rule = rule
+        self.coin = coin
         self.joined_randomly = False
         self.joined_as_fallback = False
 
@@ -145,7 +156,8 @@ class Algorithm1Program(GeneratorNodeProgram):
 
         # Lines 2-3: join with probability p_i = min(1, x_i · multiplier).
         probability = min(1.0, self.x_value * rounding_multiplier(delta_two, self.rule))
-        in_set = ctx.rng.random() < probability
+        coin = ctx.rng.random() if self.coin is None else self.coin
+        in_set = coin < probability
         self.joined_randomly = in_set
 
         # Line 4: announce the decision.
@@ -161,41 +173,63 @@ class Algorithm1Program(GeneratorNodeProgram):
         return in_set
 
 
+def _x_values(bulk: BulkGraph, x: Mapping[Hashable, float] | np.ndarray) -> np.ndarray:
+    """``x`` as a float array indexed like ``bulk.nodes``.
+
+    A mapping is read node by node (missing nodes count as 0); an array is
+    taken to be indexed like the CSR already.
+    """
+    if isinstance(x, np.ndarray):
+        if x.shape != (bulk.n,):
+            raise ValueError(
+                f"x array has shape {x.shape}; expected one value per node ({bulk.n},)"
+            )
+        return x.astype(np.float64, copy=False)
+    return x_array_from_mapping(bulk, x)
+
+
 def solution_feasibility(
     graph,
-    x: Mapping[Hashable, float],
+    x: Mapping[Hashable, float] | np.ndarray,
     tolerance: float = 1e-7,
     _bulk: BulkGraph | None = None,
 ) -> tuple[bool, float]:
     """``(feasible, max_violation)`` of ``x`` for LP_MDS (``N·x ≥ 1, x ≥ 0``).
 
     Whenever a CSR view is available (a BulkGraph input, or the prebuilt
-    ``_bulk`` of a vectorized run) the constraint is checked directly on it
-    in O(n + m); only the simulated path without a CSR in hand builds the
-    dense LP.  Both checks return the same verdict.  Shared by the rounding
-    precondition and the pipeline's post-fractional self-check.
+    ``_bulk`` of a pipeline run) the constraint is checked directly on it
+    in O(n + m), and ``x`` may also be an array indexed like the CSR's
+    nodes; only a networkx input without a CSR in hand builds the dense
+    LP (and needs a mapping ``x``).  Both
+    checks return the same verdict.  Shared by the rounding precondition
+    and the pipeline's post-fractional self-check.
     """
+    if _bulk is None and isinstance(graph, BulkGraph):
+        _bulk = graph
     if _bulk is not None:
-        return _bulk.check_lp_feasible(
-            x_array_from_mapping(_bulk, x), tolerance=tolerance
-        )
+        return _bulk.check_lp_feasible(_x_values(_bulk, x), tolerance=tolerance)
     lp = build_lp(graph)
     return check_primal_feasible(
         lp, dict(x), tolerance=tolerance, return_violation=True
     )
 
 
-def _check_rounding_input_feasible(
-    graph, bulk: BulkGraph | None, x: Mapping[Hashable, float]
+def _check_rounding_input(
+    graph, bulk: BulkGraph, values: np.ndarray, require_feasible: bool
 ) -> None:
-    """Verify the Theorem-3 precondition ``N·x ≥ 1`` for either input kind."""
-    feasible, violation = solution_feasibility(graph, x, _bulk=bulk)
-    if not feasible:
-        raise ValueError(
-            "input is not a feasible LP_MDS solution "
-            f"(max constraint violation {violation:.3e}); "
-            "pass require_feasible=False to round it anyway"
-        )
+    """Verify the Theorem-3 precondition ``N·x ≥ 1`` (when asked) and ``x ≥ 0``."""
+    if require_feasible:
+        feasible, violation = solution_feasibility(graph, values, _bulk=bulk)
+        if not feasible:
+            raise ValueError(
+                "input is not a feasible LP_MDS solution "
+                f"(max constraint violation {violation:.3e}); "
+                "pass require_feasible=False to round it anyway"
+            )
+    if np.any(values < 0):
+        # The rejection Algorithm1Program and the kernels perform, raised
+        # up front so every backend fails the same way.
+        raise ValueError("fractional values must be non-negative")
 
 
 def _bulk_rounding_result(
@@ -218,43 +252,64 @@ def _bulk_rounding_result(
     )
 
 
-def _sharded_rounding(
+def _multiplier_for(rule: RoundingRule):
+    return lambda delta_two: rounding_multiplier(delta_two, rule)
+
+
+def _simulated_rounding(
+    graph: nx.Graph,
     bulk: BulkGraph,
-    x: Mapping[Hashable, float],
-    seeds: Sequence[int | None],
+    values: np.ndarray,
+    seed: int | None,
     rule: RoundingRule,
-    shards: int | None,
-    executor,
-) -> list[RoundingResult]:
-    """Run Algorithm 1 trials on the sharded superstep engine."""
-    values = x_array_from_mapping(bulk, x)
-    if np.any(values < 0):
-        # The same rejection the kernels perform, raised parent-side so the
-        # error type matches the other backends.
-        raise ValueError("fractional values must be non-negative")
-    driver, owns = _sharded_driver(bulk, shards, executor)
-    try:
-        batch = driver.run_rounding_batched(values, seeds, rule.value)
-    finally:
-        if owns:
-            driver.close()
-    return [_bulk_rounding_result(bulk, *entry) for entry in batch]
+    schedule: FaultSchedule | None,
+    summary: FaultSummary | None,
+) -> RoundingResult:
+    """Algorithm 1 through the message-passing simulator.
 
+    Node ``bulk.nodes[i]`` runs with ``x = values[i]`` and the coin
+    ``rounding_coins(n, seed)[i]`` -- the entries the bulk kernels use.
+    """
+    position = dict(zip(bulk.nodes, range(bulk.n)))
+    x_list = values.tolist()
+    coins = rounding_coins(bulk.n, seed).tolist()
 
-def _program_factory(
-    x: Mapping[Hashable, float], rule: RoundingRule
-):
-    """Per-node factory handing each node its own fractional value."""
+    def factory(node_id, network: Network) -> Algorithm1Program:
+        i = position[node_id]
+        return Algorithm1Program(x_value=x_list[i], rule=rule, coin=coins[i])
 
-    def factory(node_id: int, network: Network) -> Algorithm1Program:
-        return Algorithm1Program(x_value=float(x.get(node_id, 0.0)), rule=rule)
-
-    return factory
+    network = Network(graph, factory, seed=seed)
+    runner = SynchronousRunner(
+        network,
+        fault_model=schedule.fault_model(bulk.nodes) if schedule is not None else None,
+        max_rounds=16,
+    )
+    execution = runner.run()
+    if not execution.terminated:
+        raise RuntimeError("Algorithm 1 did not terminate within its round budget")
+    # Crashed programs never produce a result; only survivors' final
+    # memberships count, but the joined_randomly flag of a node that died
+    # after its coin flip is still reported.
+    programs = [network.program(node) for node in bulk.nodes]
+    return RoundingResult(
+        dominating_set=frozenset(
+            node for node, joined in execution.results.items() if joined
+        ),
+        joined_randomly=frozenset(
+            compress(bulk.nodes, (p.joined_randomly for p in programs))
+        ),
+        joined_as_fallback=frozenset(
+            compress(bulk.nodes, (p.joined_as_fallback for p in programs))
+        ),
+        rounds=execution.rounds,
+        metrics=execution.metrics,
+        faults=summary,
+    )
 
 
 def round_fractional_solution(
     graph: nx.Graph,
-    x: Mapping[Hashable, float],
+    x: Mapping[Hashable, float] | np.ndarray,
     seed: int | None = None,
     rule: RoundingRule = RoundingRule.LOG,
     require_feasible: bool = True,
@@ -272,12 +327,15 @@ def round_fractional_solution(
     graph:
         The network graph.
     x:
-        A feasible solution of LP_MDS (per-node fractional values).  The
+        A feasible solution of LP_MDS: a node -> value mapping, or an
+        array indexed like the graph's sorted nodes (the CSR order).  The
         feasibility precondition of Theorem 3 is checked unless
         ``require_feasible`` is disabled (useful for fault-injection
         experiments that deliberately feed infeasible inputs).
     seed:
-        Seed controlling the per-node coin flips.
+        Seed of the coin vector
+        (:func:`~repro.core.vectorized.rounding_coins`): node ``i`` in
+        sorted order flips coin ``i``.
     rule:
         Probability multiplier rule.
     require_feasible:
@@ -285,9 +343,9 @@ def round_fractional_solution(
     backend:
         ``"simulated"`` for per-node message passing, ``"vectorized"`` for
         the bulk-synchronous array engine, ``"sharded"`` for the multi-
-        process superstep engine.  All draw each node's coin from the same
-        seeded stream, so for a given ``seed`` they select the same
-        dominating set.
+        process superstep engine.  All read each node's coin from the same
+        counter-based vector, indexed by CSR position, so for a given
+        ``seed`` they select the same dominating set.
     shards:
         Worker count for the sharded backend (``None`` = one per CPU).
     faults:
@@ -300,8 +358,8 @@ def round_fractional_solution(
         outcome.  Reported on ``RoundingResult.faults``.
 
     ``graph`` may also be a CSR :class:`~repro.simulator.bulk.BulkGraph`
-    (vectorized backend only); the feasibility precondition is then checked
-    directly on the CSR in O(n + m) instead of building the dense LP.
+    (bulk backends only).  The feasibility precondition is always checked
+    on the CSR in O(n + m).
 
     Returns
     -------
@@ -311,124 +369,39 @@ def round_fractional_solution(
         infeasible inputs, as long as every node runs the fallback step).
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
-    if require_feasible:
-        _check_rounding_input_feasible(graph, _bulk, x)
+    bulk = prepare_bulk_input(graph, backend, _bulk)
+    values = _x_values(bulk, x)
+    _check_rounding_input(graph, bulk, values, require_feasible)
+    schedule = _resolve_fault_schedule(faults, _schedule, bulk, ROUNDING_EXCHANGES)
+    summary = schedule.summary(ROUNDING_EXCHANGES) if schedule is not None else None
 
-    if faults is not None or _schedule is not None:
-        csr = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        schedule = _resolve_fault_schedule(
-            faults, _schedule, csr, ROUNDING_EXCHANGES
-        )
-        summary = schedule.summary(ROUNDING_EXCHANGES)
-
-        if backend == SHARDED:
-            values = x_array_from_mapping(csr, x)
-            if np.any(values < 0):
-                raise ValueError("fractional values must be non-negative")
-            driver, owns = _sharded_driver(csr, shards, _executor)
-            try:
-                arrays = driver.run_rounding_faulted(
-                    values, seed, rule.value, schedule
-                )
-            finally:
-                if owns:
-                    driver.close()
-            return _bulk_rounding_result(csr, *arrays, faults=summary)
-
-        if backend == VECTORIZED:
-            in_set, randomly, fallback, metrics = run_rounding_bulk_faulted(
-                csr,
-                x_array_from_mapping(csr, x),
-                seed=seed,
-                multiplier_for=lambda delta_two: rounding_multiplier(delta_two, rule),
-                schedule=schedule,
-            )
-            return _bulk_rounding_result(
-                csr, in_set, randomly, fallback, metrics, faults=summary
-            )
-
-        network = Network(graph, _program_factory(x, rule), seed=seed)
-        runner = SynchronousRunner(
-            network,
-            fault_model=schedule.fault_model(csr.nodes),
-            max_rounds=16,
-        )
-        execution = runner.run()
-        if not execution.terminated:
-            raise RuntimeError(
-                "Algorithm 1 did not terminate within its round budget"
-            )
-        # Crashed programs never produce a result; only survivors' final
-        # memberships count, but the joined_randomly flag of a node that
-        # died after its coin flip is still reported.
-        dominating_set = frozenset(
-            node for node, joined in execution.results.items() if joined
-        )
-        return RoundingResult(
-            dominating_set=dominating_set,
-            joined_randomly=frozenset(
-                node
-                for node in csr.nodes
-                if getattr(network.program(node), "joined_randomly", False)
-            ),
-            joined_as_fallback=frozenset(
-                node
-                for node in csr.nodes
-                if getattr(network.program(node), "joined_as_fallback", False)
-            ),
-            rounds=execution.rounds,
-            metrics=execution.metrics,
-            faults=summary,
-        )
+    if backend == SIMULATED:
+        return _simulated_rounding(graph, bulk, values, seed, rule, schedule, summary)
 
     if backend == SHARDED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        return _sharded_rounding(bulk, x, [seed], rule, shards, _executor)[0]
-
-    if backend == VECTORIZED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        in_set, randomly, fallback, metrics = run_rounding_bulk(
-            bulk,
-            x_array_from_mapping(bulk, x),
-            seed=seed,
-            multiplier_for=lambda delta_two: rounding_multiplier(delta_two, rule),
+        driver, owns = _sharded_driver(bulk, shards, _executor)
+        try:
+            if schedule is not None:
+                arrays = driver.run_rounding_faulted(values, seed, rule.value, schedule)
+            else:
+                arrays = driver.run_rounding_batched(values, [seed], rule.value)[0]
+        finally:
+            if owns:
+                driver.close()
+    elif schedule is not None:
+        arrays = run_rounding_bulk_faulted(
+            bulk, values, rounding_coins(bulk.n, seed), _multiplier_for(rule), schedule
         )
-        return _bulk_rounding_result(bulk, in_set, randomly, fallback, metrics)
-
-    network = Network(graph, _program_factory(x, rule), seed=seed)
-    runner = SynchronousRunner(network, max_rounds=16)
-    execution = runner.run()
-    if not execution.terminated:
-        raise RuntimeError("Algorithm 1 did not terminate within its round budget")
-
-    dominating_set = frozenset(
-        node for node, joined in execution.results.items() if joined
-    )
-    joined_randomly = frozenset(
-        node
-        for node in network.node_ids
-        if getattr(network.program(node), "joined_randomly", False)
-    )
-    joined_as_fallback = frozenset(
-        node
-        for node in network.node_ids
-        if getattr(network.program(node), "joined_as_fallback", False)
-    )
-    return RoundingResult(
-        dominating_set=dominating_set,
-        joined_randomly=joined_randomly,
-        joined_as_fallback=joined_as_fallback,
-        rounds=execution.rounds,
-        metrics=execution.metrics,
-    )
+    else:
+        arrays = run_rounding_bulk(
+            bulk, values, rounding_coins(bulk.n, seed), _multiplier_for(rule)
+        )
+    return _bulk_rounding_result(bulk, *arrays, faults=summary)
 
 
 def round_fractional_solution_batched(
     graph: nx.Graph,
-    x: Mapping[Hashable, float],
+    x: Mapping[Hashable, float] | np.ndarray,
     seeds: Sequence[int | None],
     rule: RoundingRule = RoundingRule.LOG,
     require_feasible: bool = True,
@@ -440,16 +413,16 @@ def round_fractional_solution_batched(
     """Round one fractional solution under many independent rounding seeds.
 
     Trial ``t`` reproduces ``round_fractional_solution(graph, x, seeds[t],
-    ...)`` exactly -- the per-node coins come from the same per-seed
-    streams -- but the seed-independent work (input feasibility, the CSR
-    build, the δ⁽²⁾ exchanges, the join probabilities) is paid once instead
-    of once per trial.  This is what lets ``sweep_pipeline`` stop re-running
-    the deterministic fractional phase and its feasibility check for every
-    rounding trial.
+    ...)`` exactly -- each trial reads its seed's coin vector -- but the
+    seed-independent work (input validation and feasibility, the CSR
+    build, the δ⁽²⁾ exchanges, the join probabilities) is paid once
+    instead of once per trial.  This is what lets ``sweep_pipeline`` stop
+    re-running the deterministic fractional phase and its feasibility
+    check for every rounding trial.
 
-    On the simulated backend the batch simply loops the one-seed entry
-    point (per-message fidelity has nothing seed-independent to share
-    beyond the feasibility check).
+    On the simulated backend the batch loops the one-seed entry point
+    (per-message fidelity has nothing seed-independent to share beyond
+    the validation, the CSR and the feasibility check).
 
     Returns
     -------
@@ -457,35 +430,38 @@ def round_fractional_solution_batched(
         One result per seed, in seed order.
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
-    if require_feasible:
-        _check_rounding_input_feasible(graph, _bulk, x)
+    bulk = prepare_bulk_input(graph, backend, _bulk)
+    values = _x_values(bulk, x)
+    _check_rounding_input(graph, bulk, values, require_feasible)
 
+    if backend == SIMULATED:
+        return [
+            round_fractional_solution(
+                graph,
+                values,
+                seed=seed,
+                rule=rule,
+                require_feasible=False,
+                backend=backend,
+                _bulk=bulk,
+            )
+            for seed in seeds
+        ]
     if backend == SHARDED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
-        return _sharded_rounding(bulk, x, seeds, rule, shards, _executor)
-
-    if backend == VECTORIZED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
+        driver, owns = _sharded_driver(bulk, shards, _executor)
+        try:
+            batch = driver.run_rounding_batched(values, seeds, rule.value)
+        finally:
+            if owns:
+                driver.close()
+    else:
         batch = run_rounding_bulk_batched(
             bulk,
-            x_array_from_mapping(bulk, x),
-            seeds=seeds,
-            multiplier_for=lambda delta_two: rounding_multiplier(delta_two, rule),
+            values,
+            (rounding_coins(bulk.n, seed) for seed in seeds),
+            _multiplier_for(rule),
         )
-        return [
-            _bulk_rounding_result(bulk, in_set, randomly, fallback, metrics)
-            for in_set, randomly, fallback, metrics in batch
-        ]
-
-    return [
-        round_fractional_solution(
-            graph, x, seed=seed, rule=rule, require_feasible=False, backend=backend
-        )
-        for seed in seeds
-    ]
+    return [_bulk_rounding_result(bulk, *arrays) for arrays in batch]
 
 
 def expected_join_probabilities(

@@ -15,10 +15,12 @@ Numerical equivalence is engineered, not approximate:
   x-boosts ``a^(−m/(m+1))``, the rounding multipliers ``ln(δ⁽²⁾+1)``) is
   evaluated once per *distinct* operand with Python's own float power /
   ``math.log``, exactly as the per-node programs do, and broadcast back;
-* the randomized rounding draws its per-node coin from
-  ``random.Random(f"{seed}:{node}")`` -- the same stream
-  :class:`~repro.simulator.network.Network` hands each node -- so the
-  selected dominating set matches the simulated backend flip for flip.
+* the randomized rounding reads its coins from one counter-based vector,
+  :func:`rounding_coins` -- ``default_rng((seed, salt)).random(n)``,
+  entry ``i`` for the node at CSR position ``i`` (``bulk.nodes[i]``).
+  The simulated :class:`~repro.core.rounding.Algorithm1Program` and every
+  shard slab (indexing by global position) read the same vector, so the
+  selected dominating set matches across backends flip for flip.
 
 Round counts and (modeled) message counts are reported through the same
 :class:`~repro.simulator.metrics.ExecutionMetrics` structure the simulator
@@ -27,11 +29,12 @@ produces, with an identical per-round layout.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Hashable, Mapping, Sequence
+import operator
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.graphs.utils import validate_simple_graph
 from repro.simulator.bulk import (
     BOOL_PAYLOAD_BITS,
     BulkGraph,
@@ -141,6 +144,25 @@ def resolve_bulk_input(graph, backend: str, bulk: BulkGraph | None = None):
     return bulk
 
 
+def prepare_bulk_input(
+    graph, backend: str, bulk: BulkGraph | None = None, build: bool = True
+) -> BulkGraph | None:
+    """Validate an entry point's input once and return the CSR it runs on.
+
+    A :class:`BulkGraph` input, or a caller-provided prebuilt ``bulk`` (the
+    pipeline builds one per solve and hands it to every phase), is used
+    as is: it was checked when it was built.  Otherwise the networkx graph
+    is validated here and, when ``build`` is set, converted once.
+    Returns ``None`` only for an unbuilt networkx input (``build=False``).
+    """
+    bulk = resolve_bulk_input(graph, backend, bulk)
+    if bulk is None:
+        validate_simple_graph(graph)
+        if build:
+            bulk = BulkGraph.from_graph(graph)
+    return bulk
+
+
 def _unique_powers_cached(
     values: np.ndarray,
     exponent: float,
@@ -240,14 +262,6 @@ class _TraceRecorder:
         self._trace.record_group(
             "colored-gray", rc, self._nodes[newly_gray], ell=ell, m=m
         )
-
-
-def _delta_two(bulk: BulkGraph, metrics: BulkMetricsBuilder) -> np.ndarray:
-    """δ⁽²⁾ per node: two degree-max exchanges, recorded in program order."""
-    metrics.record_exchange(int_payload_bits(bulk.degrees))
-    delta_one = bulk.closed_max(bulk.degrees)
-    metrics.record_exchange(int_payload_bits(delta_one))
-    return bulk.closed_max(delta_one)
 
 
 # ---------------------------------------------------------------------- #
@@ -556,24 +570,54 @@ def run_algorithm3_bulk_multi_k(
 # ---------------------------------------------------------------------- #
 
 
+#: Stream tag of the rounding coins.  numpy pads a short seed key with
+#: zero words, so the tag must not be 0 or 1: then ``(seed, salt)`` and
+#: the negative-seed key ``(-seed, salt, 1)`` never coincide, and neither
+#: meets the fault layer's ``(seed, phase salt, stream)`` keys.
+ROUNDING_COIN_SALT = 0x414C4731  # "ALG1"
+
+
+def rounding_coins(n: int, seed: int | None) -> np.ndarray:
+    """Algorithm 1's coins: one uniform draw per CSR position.
+
+    Entry ``i`` is the coin of the node at position ``i`` (``bulk.nodes[i]``,
+    i.e. the ``i``-th smallest node identifier).  The vector is a pure
+    function of ``(seed, n)`` drawn from ``default_rng((seed, salt))`` --
+    the counter-based convention of
+    :mod:`repro.simulator.fault_schedule` -- so every backend, and every
+    shard slab indexing it by global position, flips the same coins.
+    Negative seeds use the key ``(-seed, salt, 1)``; ``None`` draws fresh
+    OS entropy.
+    """
+    if seed is None:
+        return np.random.default_rng().random(n)
+    seed = operator.index(seed)
+    if seed >= 0:
+        key = (seed, ROUNDING_COIN_SALT)
+    else:
+        key = (-seed, ROUNDING_COIN_SALT, 1)
+    return np.random.default_rng(key).random(n)
+
+
 def run_rounding_bulk(
     bulk: BulkGraph,
     x: np.ndarray,
-    seed: int | None,
+    coins: np.ndarray,
     multiplier_for: Callable[[int], float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]:
-    """Vectorized Algorithm 1 with the simulator's per-node coin streams.
+    """Vectorized Algorithm 1.
 
     Parameters
     ----------
     bulk:
-        The communication graph.
+        The communication graph (a whole CSR, or one shard's slab).
     x:
         Per-node fractional values, indexed like ``bulk.nodes``.
-    seed:
-        Experiment seed; node ``v`` draws from ``Random(f"{seed}:{v}")``
-        exactly as the simulated network does, so both backends flip the
-        same coins.
+    coins:
+        Per-node uniform coins, indexed like ``bulk.nodes``: the
+        :func:`rounding_coins` vector of the seed (a slab passes its
+        owned positions' entries).  Node ``i`` joins iff
+        ``coins[i] < p_i``.
     multiplier_for:
         ``δ⁽²⁾ -> multiplier`` for the join probability (the rounding-rule
         specific ``ln(δ⁽²⁾+1)`` term).
@@ -583,63 +627,28 @@ def run_rounding_bulk(
     (in_set, joined_randomly, joined_as_fallback, metrics)
         Three boolean arrays indexed like ``bulk.nodes`` plus the metrics.
     """
-    if np.any(np.asarray(x) < 0):
-        # Same rejection Algorithm1Program performs per node.
-        raise ValueError("fractional values must be non-negative")
-    metrics = BulkMetricsBuilder(bulk.degrees)
-
-    # Line 1: δ⁽²⁾ via two exchanges of degree maxima.
-    delta_two = _delta_two(bulk, metrics)
-
-    # Lines 2-3: join with probability min(1, x · multiplier(δ⁽²⁾)).
-    probability = np.minimum(
-        1.0, np.asarray(x, dtype=np.float64) * _unique_map(delta_two, multiplier_for)
-    )
-    joined_randomly = _coin_draws(bulk, seed) < probability
-
-    # Line 4: announce the decision (one exchange).
-    metrics.record_exchange(BOOL_PAYLOAD_BITS)
-
-    # Lines 5-7: nodes with no dominator in their closed neighbourhood join.
-    joined_as_fallback = ~joined_randomly & ~bulk.neighbor_any(joined_randomly)
-    in_set = joined_randomly | joined_as_fallback
-    return in_set, joined_randomly, joined_as_fallback, metrics.build(bulk.nodes)
-
-
-def _coin_draws(bulk: BulkGraph, seed: int | None) -> np.ndarray:
-    """Each node's rounding coin from its simulator-identical seeded stream."""
-    return np.fromiter(
-        (
-            random.Random(f"{seed}:{node}" if seed is not None else None).random()
-            for node in bulk.nodes
-        ),
-        dtype=np.float64,
-        count=bulk.n,
-    )
+    return run_rounding_bulk_batched(bulk, x, [coins], multiplier_for)[0]
 
 
 def run_rounding_bulk_batched(
     bulk: BulkGraph,
     x: np.ndarray,
-    seeds: Sequence[int | None],
+    coin_rows: Iterable[np.ndarray],
     multiplier_for: Callable[[int], float],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]]:
-    """Vectorized Algorithm 1 for many rounding seeds over one x-vector.
+    """Vectorized Algorithm 1 for many coin vectors over one x-vector.
 
     The seed-independent work -- the two δ⁽²⁾ exchanges, the join
     probabilities, the per-exchange payload bits -- is computed once; each
-    trial then only redraws its coin column.  Trial ``t`` reproduces
-    ``run_rounding_bulk(bulk, x, seeds[t], multiplier_for)`` exactly: the
-    per-node coins come from the identical ``Random(f"{seed}:{node}")``
-    streams, so the selected sets (and the modeled metrics) match the
-    one-seed runner -- and therefore the message-passing simulator --
-    trial for trial.
+    trial then only compares its own coin vector.  Trial ``t`` reproduces
+    ``run_rounding_bulk(bulk, x, coin_rows[t], multiplier_for)`` exactly.
 
     Returns one ``(in_set, joined_randomly, joined_as_fallback, metrics)``
-    tuple per seed, in seed order.
+    tuple per coin vector, in order.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
+        # Same rejection Algorithm1Program performs per node.
         raise ValueError("fractional values must be non-negative")
 
     # Seed-independent phase: δ⁽²⁾, join probabilities, payload sizes.
@@ -650,8 +659,11 @@ def run_rounding_bulk_batched(
     probability = np.minimum(1.0, x * _unique_map(delta_two, multiplier_for))
 
     results = []
-    for seed in seeds:
-        joined_randomly = _coin_draws(bulk, seed) < probability
+    for coins in coin_rows:
+        # Lines 2-3: join with probability min(1, x · multiplier(δ⁽²⁾)).
+        joined_randomly = coins < probability
+        # Line 4 announces the decision; lines 5-7: nodes with no dominator
+        # in their closed neighbourhood join.
         joined_as_fallback = ~joined_randomly & ~bulk.neighbor_any(joined_randomly)
         in_set = joined_randomly | joined_as_fallback
         metrics = BulkMetricsBuilder(bulk.degrees)
@@ -887,7 +899,7 @@ def run_algorithm3_bulk_faulted(
 def run_rounding_bulk_faulted(
     bulk: BulkGraph,
     x: np.ndarray,
-    seed: int | None,
+    coins: np.ndarray,
     multiplier_for: Callable[[int], float],
     schedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ExecutionMetrics]:
@@ -918,7 +930,7 @@ def run_rounding_bulk_faulted(
     probability = np.minimum(
         1.0, np.asarray(x, dtype=np.float64) * _unique_map(delta_two, multiplier_for)
     )
-    joined_randomly = (_coin_draws(bulk, seed) < probability) & schedule.alive(1)
+    joined_randomly = (coins < probability) & schedule.alive(1)
 
     metrics.record_exchange(
         BOOL_PAYLOAD_BITS, senders=schedule.senders(2)

@@ -32,13 +32,13 @@ from repro.core.vectorized import (
     SIMULATED,
     VECTORIZED,
     CapabilityError,
-    resolve_bulk_input,
+    prepare_bulk_input,
     run_weighted_algorithm2_bulk,
     validate_backend,
 )
 from repro.domset.validation import is_dominating_set
 from repro.domset.weighted import validate_weights, weighted_cost
-from repro.graphs.utils import max_degree, validate_simple_graph
+from repro.graphs.utils import max_degree
 from repro.simulator.bulk import BulkGraph
 from repro.simulator.metrics import ExecutionMetrics
 from repro.simulator.network import Network
@@ -221,15 +221,13 @@ def approximate_weighted_fractional_mds(
     WeightedFractionalResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is not graph:
-        validate_simple_graph(graph)
+    bulk = prepare_bulk_input(graph, backend, _bulk, build=backend != SIMULATED)
     if k < 1:
         raise ValueError("k must be at least 1")
-    node_ids = _bulk.nodes if _bulk is graph else tuple(graph.nodes())
+    node_ids = bulk.nodes if bulk is not None else tuple(graph.nodes())
     c_max = float(max(weights[node] for node in node_ids))
     validate_weights(graph, weights, c_max=c_max)
-    delta = max_degree(graph)
+    delta = max_degree(bulk if bulk is not None else graph)
 
     if backend == SHARDED:
         if collect_trace:
@@ -239,7 +237,6 @@ def approximate_weighted_fractional_mds(
                 SHARDED,
                 (SIMULATED, VECTORIZED),
             )
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         costs = np.array(
             [float(weights[node]) for node in bulk.nodes], dtype=np.float64
         )
@@ -264,7 +261,6 @@ def approximate_weighted_fractional_mds(
         )
 
     if backend == VECTORIZED:
-        bulk = _bulk if _bulk is not None else BulkGraph.from_graph(graph)
         costs = np.array(
             [float(weights[node]) for node in bulk.nodes], dtype=np.float64
         )
@@ -393,17 +389,15 @@ def weighted_kuhn_wattenhofer_dominating_set(
     WeightedPipelineResult
     """
     validate_backend(backend, supported=BACKENDS)
-    _bulk = resolve_bulk_input(graph, backend, _bulk)
-    if _bulk is None and backend in (VECTORIZED, SHARDED):
-        # One CSR build serves both phases.
-        _bulk = BulkGraph.from_graph(graph)
-    # As in the unweighted pipeline, one shard pool serves both phases.
+    # As in the unweighted pipeline: one validation and one CSR build serve
+    # both phases, and one shard pool serves both phases.
+    bulk = prepare_bulk_input(graph, backend, _bulk)
     executor = None
     try:
         if backend == SHARDED:
             from repro.simulator.sharded import ShardedDriver
 
-            executor = ShardedDriver(_bulk, shards)
+            executor = ShardedDriver(bulk, shards)
         fractional = approximate_weighted_fractional_mds(
             graph,
             weights,
@@ -411,7 +405,7 @@ def weighted_kuhn_wattenhofer_dominating_set(
             seed=seed,
             collect_trace=collect_trace,
             backend=backend,
-            _bulk=_bulk,
+            _bulk=bulk,
             _executor=executor,
         )
         rounding = round_fractional_solution(
@@ -421,13 +415,13 @@ def weighted_kuhn_wattenhofer_dominating_set(
             rule=rounding_rule,
             require_feasible=True,
             backend=backend,
-            _bulk=_bulk,
+            _bulk=bulk,
             _executor=executor,
         )
     finally:
         if executor is not None:
             executor.close()
-    if not is_dominating_set(graph, rounding.dominating_set):
+    if not is_dominating_set(bulk, rounding.dominating_set):
         raise RuntimeError(
             "weighted pipeline produced a non-dominating set; "
             "this indicates a bug in Algorithm 1's fallback step"

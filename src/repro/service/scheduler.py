@@ -42,7 +42,6 @@ from typing import Any, Sequence
 from repro.api import (
     RunReport,
     SHARDED,
-    VECTORIZED,
     get_spec,
     normalized_params,
     resolve_backend,
@@ -52,15 +51,18 @@ from repro.core.fractional import approximate_fractional_mds_multi_k
 from repro.core.fractional_unknown import (
     approximate_fractional_mds_unknown_delta_multi_k,
 )
-from repro.core.kuhn_wattenhofer import FractionalVariant, PipelineResult
+from repro.core.kuhn_wattenhofer import (
+    FractionalVariant,
+    PipelineResult,
+    fractional_values,
+)
 from repro.core.rounding import (
     RoundingRule,
     round_fractional_solution,
     solution_feasibility,
 )
+from repro.core.vectorized import prepare_bulk_input
 from repro.domset.validation import is_dominating_set
-from repro.graphs.utils import max_degree
-from repro.simulator.bulk import BulkGraph
 
 _request_ids = itertools.count()
 
@@ -168,13 +170,8 @@ def _coalesced_pipeline_reports(
     k_values = sorted({request.params["k"] for request in requests})
 
     started = time.perf_counter()
-    is_bulk = isinstance(graph, BulkGraph)
-    bulk = (
-        graph
-        if is_bulk
-        else (BulkGraph.from_graph(graph) if backend in (VECTORIZED, SHARDED) else None)
-    )
-    delta = max_degree(graph)
+    bulk = prepare_bulk_input(graph, backend)
+    delta = bulk.max_degree
     multi_k = (
         approximate_fractional_mds_multi_k
         if variant is FractionalVariant.KNOWN_DELTA
@@ -197,7 +194,8 @@ def _coalesced_pipeline_reports(
         results: dict[int, PipelineResult] = {}
         for k in k_values:
             fractional = fractional_by_k[k]
-            feasible, _ = solution_feasibility(graph, fractional.x, _bulk=bulk)
+            x_values = fractional_values(fractional, bulk)
+            feasible, _ = solution_feasibility(graph, x_values, _bulk=bulk)
             if not feasible:
                 raise RuntimeError(
                     "fractional phase returned an infeasible LP solution; "
@@ -205,7 +203,7 @@ def _coalesced_pipeline_reports(
                 )
             rounding = round_fractional_solution(
                 graph,
-                fractional.x,
+                x_values,
                 seed=base.seed,
                 rule=rule,
                 require_feasible=False,
@@ -213,7 +211,7 @@ def _coalesced_pipeline_reports(
                 _bulk=bulk,
                 _executor=executor,
             )
-            if not is_dominating_set(graph, rounding.dominating_set):
+            if not is_dominating_set(bulk, rounding.dominating_set):
                 raise RuntimeError(
                     "rounding phase returned a non-dominating set; "
                     "this indicates a bug in Algorithm 1's fallback step"

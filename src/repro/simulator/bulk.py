@@ -29,6 +29,7 @@ numerically interchangeable:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
@@ -129,8 +130,10 @@ class BulkGraph:
                     "CSR rows must be strictly ascending; build through "
                     "from_edges or from_graph to normalise the adjacency"
                 )
-        # The adjacency must be symmetric (undirected communication).
-        forward = np.sort(self.row * np.int64(n) + col)
+        # The adjacency must be symmetric (undirected communication).  The
+        # rows are strictly ascending (checked above), so the forward keys
+        # are already sorted.
+        forward = self.row * np.int64(n) + col
         backward = np.sort(col * np.int64(n) + self.row)
         if not np.array_equal(forward, backward):
             raise ValueError("bulk graph adjacency must be symmetric")
@@ -152,32 +155,44 @@ class BulkGraph:
 
     @classmethod
     def from_graph(cls, graph: nx.Graph) -> "BulkGraph":
-        """Build a :class:`BulkGraph` from a networkx graph."""
+        """Build a :class:`BulkGraph` from a networkx graph.
+
+        One array build: the raw adjacency dicts (``graph.adjacency()``, no
+        per-node view objects) are flattened in sorted-node order, mapped
+        to positions, and sorted within rows in numpy.  Self loops are
+        rejected by ``__init__`` together with its other CSR checks.
+        """
         if graph.number_of_nodes() == 0:
             raise ValueError("bulk graph must contain at least one node")
-        if any(u == v for u, v in graph.edges()):
-            raise ValueError("bulk graph must not contain self loops")
+        if graph.is_directed():
+            raise ValueError("graph must be undirected")
 
-        nodes: tuple[Hashable, ...] = tuple(sorted(graph.nodes()))
+        adjacency = dict(graph.adjacency())
+        nodes: tuple[Hashable, ...] = tuple(sorted(adjacency))
         n = len(nodes)
-        index = {node: position for position, node in enumerate(nodes)}
-
-        degrees = np.zeros(n, dtype=np.int64)
-        col_chunks: list[np.ndarray] = []
-        for position, node in enumerate(nodes):
-            # Sorting identifiers and then mapping to indices preserves the
-            # simulator's ascending-neighbour delivery order because the
-            # index assignment above is monotone in the sorted identifiers.
-            neighbor_indices = np.fromiter(
-                (index[neighbor] for neighbor in sorted(graph.neighbors(node))),
-                dtype=np.int64,
+        rows = list(map(adjacency.__getitem__, nodes))
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        neighbors = chain.from_iterable(rows)
+        total = int(indptr[-1])
+        index = None
+        if nodes == tuple(range(n)):
+            # Labels 0..n-1 are their own positions.
+            col = np.fromiter(neighbors, dtype=np.int64, count=total)
+        else:
+            index = dict(zip(nodes, range(n)))
+            col = np.fromiter(
+                map(index.__getitem__, neighbors), dtype=np.int64, count=total
             )
-            degrees[position] = neighbor_indices.size
-            col_chunks.append(neighbor_indices)
-
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        col = np.concatenate(col_chunks) if col_chunks else np.empty(0, dtype=np.int64)
-        return cls(indptr, col, nodes=nodes)
+        # Rows are contiguous, so sorting the flattened (row, col) keys
+        # sorts within each row and leaves the rows in place.
+        offsets = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), degrees)
+        keys = offsets + col
+        keys.sort()
+        bulk = cls(indptr, keys - offsets, nodes=nodes)
+        bulk._index = index
+        return bulk
 
     @classmethod
     def from_edges(
@@ -243,10 +258,8 @@ class BulkGraph:
     def index_of(self, items: Iterable[Hashable]) -> np.ndarray:
         """Map node identifiers to their array positions."""
         if self._index is None:
-            self._index = {
-                node: position for position, node in enumerate(self.nodes)
-            }
-        return np.fromiter((self._index[item] for item in items), dtype=np.int64)
+            self._index = dict(zip(self.nodes, range(self.n)))
+        return np.fromiter(map(self._index.__getitem__, items), dtype=np.int64)
 
     def is_dominating_set(self, flags: np.ndarray) -> bool:
         """Whether the flagged nodes dominate every node (closed coverage)."""

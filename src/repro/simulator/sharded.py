@@ -28,6 +28,9 @@ Equivalence with the single-process vectorized backend is engineered to be
   only its owned nodes; the driver merges the per-shard metrics with exact
   integer sums (messages, bits) and maxima (message size), producing the
   identical :class:`~repro.simulator.metrics.ExecutionMetrics`.
+* Each slab reads Algorithm 1's coins from the one global
+  :func:`~repro.core.vectorized.rounding_coins` vector at its owned
+  (global) positions, so every node flips the coin it flips unsharded.
 
 The kernels in :mod:`repro.core.vectorized` run **unchanged** on each
 slab: :class:`ShardSlab` exposes the operator subset they use (``n``,
@@ -350,6 +353,18 @@ def _rounding_multiplier_for(rule_value: str) -> Callable[[int], float]:
     return lambda delta_two: rounding_multiplier(delta_two, rule)
 
 
+def _slab_coins(slab: ShardSlab, indptr: np.ndarray, seed: int) -> np.ndarray:
+    """This slab's rounding coins: the global vector at its owned positions."""
+    from repro.core.vectorized import rounding_coins
+
+    return rounding_coins(int(indptr.size) - 1, seed)[slab.layout.owned]
+
+
+def _concrete_seed(seed: int | None) -> int:
+    """Fix an unseeded run's entropy once, so every shard reads one vector."""
+    return np.random.SeedSequence().entropy if seed is None else seed
+
+
 def _slab_schedule_view(
     slab: ShardSlab,
     indptr: np.ndarray,
@@ -401,7 +416,10 @@ def _execute_command(
         _, seeds, rule_value = command
         x = slab.read_mail_owned()
         return vectorized.run_rounding_bulk_batched(
-            slab, x, seeds, _rounding_multiplier_for(rule_value)
+            slab,
+            x,
+            (_slab_coins(slab, indptr, seed) for seed in seeds),
+            _rounding_multiplier_for(rule_value),
         )
     if op == "alg2_faulted":
         _, k, delta, spec, salt, rounds, already_dead = command
@@ -422,7 +440,11 @@ def _execute_command(
         )
         x = slab.read_mail_owned()
         return vectorized.run_rounding_bulk_faulted(
-            slab, x, seed, _rounding_multiplier_for(rule_value), view
+            slab,
+            x,
+            _slab_coins(slab, indptr, seed),
+            _rounding_multiplier_for(rule_value),
+            view,
         )
     if op == "rss":
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -934,13 +956,16 @@ class ShardedDriver:
         if self._mail is None:
             raise RuntimeError("ShardedDriver is closed")
         x = np.asarray(x, dtype=np.float64)
-        seeds = tuple(seeds)
+        seeds = tuple(map(_concrete_seed, seeds))
         per_shard = self._request(("rounding", seeds, rule_value), mail_payload=x)
         if per_shard is None:
             from repro.core import vectorized
 
             return vectorized.run_rounding_bulk_batched(
-                self._bulk, x, seeds, _rounding_multiplier_for(rule_value)
+                self._bulk,
+                x,
+                (vectorized.rounding_coins(self._bulk.n, seed) for seed in seeds),
+                _rounding_multiplier_for(rule_value),
             )
         results = []
         for trial in range(len(seeds)):
@@ -1013,6 +1038,7 @@ class ShardedDriver:
         if self._mail is None:
             raise RuntimeError("ShardedDriver is closed")
         x = np.asarray(x, dtype=np.float64)
+        seed = _concrete_seed(seed)
         command = (
             "rounding_faulted",
             seed,
@@ -1024,7 +1050,11 @@ class ShardedDriver:
             from repro.core import vectorized
 
             return vectorized.run_rounding_bulk_faulted(
-                self._bulk, x, seed, _rounding_multiplier_for(rule_value), schedule
+                self._bulk,
+                x,
+                vectorized.rounding_coins(self._bulk.n, seed),
+                _rounding_multiplier_for(rule_value),
+                schedule,
             )
         in_set = self._gather([entry[0] for entry in per_shard], np.bool_)
         joined_randomly = self._gather([entry[1] for entry in per_shard], np.bool_)

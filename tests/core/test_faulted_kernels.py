@@ -37,6 +37,7 @@ from repro.core.vectorized import (
     CapabilityError,
     algorithm2_exchanges,
     algorithm3_exchanges,
+    rounding_coins,
     run_algorithm2_bulk_faulted,
     run_algorithm3_bulk_faulted,
     run_rounding_bulk_faulted,
@@ -114,9 +115,13 @@ class TestKernelParityWithSimulator:
             for index, node in enumerate(bulk.nodes)
         }
         schedule = spec.materialize(bulk, rounds=ROUNDING_EXCHANGES, salt=1)
+        coins = rounding_coins(bulk.n, 42)
+        coin_of = dict(zip(bulk.nodes, coins.tolist()))
         network = Network(
             graph,
-            lambda n, net: Algorithm1Program(x_value=x_map[n], rule=RoundingRule.LOG),
+            lambda n, net: Algorithm1Program(
+                x_value=x_map[n], rule=RoundingRule.LOG, coin=coin_of[n]
+            ),
             seed=42,
         )
         execution = SynchronousRunner(
@@ -128,7 +133,7 @@ class TestKernelParityWithSimulator:
         in_set, randomly, fallback, _ = run_rounding_bulk_faulted(
             bulk,
             np.array([x_map[n] for n in bulk.nodes]),
-            seed=42,
+            coins=coins,
             multiplier_for=lambda d2: rounding_multiplier(d2, RoundingRule.LOG),
             schedule=schedule,
         )
