@@ -3,14 +3,19 @@
 These functions compute the *exact* same per-node values as the
 message-passing programs in :mod:`repro.core.fractional`,
 :mod:`repro.core.fractional_unknown` and :mod:`repro.core.rounding`, but
-replace every per-message Python object with one whole-graph array
-operation over a :class:`~repro.simulator.bulk.BulkGraph`.
+replace every per-message Python object with one array operation over a
+:class:`~repro.simulator.bulk.BulkGraph`.  The fault-free Algorithm 2/3
+kernels restrict each such operation to the rows the algorithm still
+reads (the frontier arguments of the ``BulkGraph`` operators), so their
+work shrinks with the white set instead of staying at 2m per exchange.
 
 Numerical equivalence is engineered, not approximate:
 
 * neighbourhood sums accumulate in the simulator's ascending-sender order
   (see :meth:`BulkGraph.neighbor_sum`), so coverage values -- and therefore
   the white/gray colouring decisions they gate -- are bitwise identical;
+  a frontier-restricted sum pulls whole rows in that same order, and every
+  pushed reduction (counts, maxima, δ̃ decrements) is integer, hence exact;
 * every transcendental (the activity thresholds ``γ^(ℓ/(ℓ+1))``, the
   x-boosts ``a^(−m/(m+1))``, the rounding multipliers ``ln(δ⁽²⁾+1)``) is
   evaluated once per *distinct* operand with Python's own float power /
@@ -259,9 +264,47 @@ class _TraceRecorder:
         self._trace.record_group("inner-loop", rc, self._nodes, **data)
 
     def colored_gray(self, rc: int, ell: int, m: int, newly_gray: np.ndarray) -> None:
+        """``newly_gray``: ascending positions of the nodes just covered."""
         self._trace.record_group(
             "colored-gray", rc, self._nodes[newly_gray], ell=ell, m=m
         )
+
+
+def _colour_exchanges(
+    bulk: BulkGraph,
+    metrics: BulkMetricsBuilder,
+    recorder: _TraceRecorder | None,
+    ell: int,
+    m: int,
+    x: np.ndarray,
+    white: np.ndarray,
+    rows: np.ndarray,
+    dynamic_degree: np.ndarray,
+) -> np.ndarray:
+    """The x-value and colour exchanges that end every inner iteration.
+
+    Shared by Algorithms 2 and 3 (lines 11-12 / 9-10 and 18-21).  Only
+    white nodes read their coverage ``x + N·x``, and one whose closed
+    neighbourhood kept its x-values still reads the same sum (< 1), so the
+    sum is pulled only over ``rows``: the white nodes whose neighbourhood
+    may have changed.  The nodes it covers turn gray (``white`` is updated
+    in place).  The colour exchange then lowers each δ̃(v) = |N[v] ∩ white|
+    by the newly gray nodes in N[v], pushed from their rows: the exact
+    integer a full recount gives.  Returns the new dynamic degrees.
+    """
+    metrics.record_exchange(float_payload_bits(x))
+    coverage = x[rows] + bulk.neighbor_sum(x, rows=rows)
+    newly_gray = rows[coverage >= 1.0]
+    if recorder is not None:
+        recorder.colored_gray(metrics.exchange_count, ell, m, newly_gray)
+    white[newly_gray] = False
+
+    metrics.record_exchange(BOOL_PAYLOAD_BITS)
+    gray_flags = np.zeros(bulk.n, dtype=bool)
+    gray_flags[newly_gray] = True
+    lost = bulk.neighbor_count(gray_flags, support=newly_gray)
+    lost[newly_gray] += 1
+    return dynamic_degree - lost
 
 
 # ---------------------------------------------------------------------- #
@@ -390,6 +433,11 @@ def run_algorithm2_bulk_multi_k(
     engine records per-iteration snapshots (the per-node programs' trace
     events, in columnar form) into the given trace.
 
+    Each exchange does work in proportion to its frontier: coverage is
+    pulled over the white rows only and δ̃ is decremented from the newly
+    gray rows (see :func:`_colour_exchanges`), so once every node is gray
+    no exchange reads the CSR.
+
     Returns ``{k: (x, metrics)}`` for every requested k.
     """
     if delta < 0:
@@ -430,18 +478,12 @@ def run_algorithm2_bulk_multi_k(
                         metrics.exchange_count, ell, m, active, x, white, dynamic_degree
                     )
 
-                # Exchange x-values; colour gray once covered (lines 11-12).
-                metrics.record_exchange(float_payload_bits(x))
-                coverage = x + bulk.neighbor_sum(x)
-                if recorder is not None:
-                    recorder.colored_gray(
-                        metrics.exchange_count, ell, m, white & (coverage >= 1.0)
-                    )
-                white &= coverage < 1.0
-
-                # Exchange colours; recompute the dynamic degree (lines 9-10).
-                metrics.record_exchange(BOOL_PAYLOAD_BITS)
-                dynamic_degree = bulk.neighbor_count(white) + white
+                # Exchange x-values, colour gray once covered (lines 11-12);
+                # exchange colours, update the dynamic degree (lines 9-10).
+                dynamic_degree = _colour_exchanges(
+                    bulk, metrics, recorder, ell, m,
+                    x, white, np.flatnonzero(white), dynamic_degree,
+                )
         results[k] = (x, metrics.build(bulk.nodes))
     return results
 
@@ -480,6 +522,14 @@ def run_algorithm3_bulk_multi_k(
     x-vector and modeled metrics alike (each k's metrics still record the
     shared prefix exchanges in program order).
 
+    Every exchange after the prefix does work in proportion to its
+    frontier: a-values are pushed from the active rows, a⁽¹⁾, γ⁽¹⁾ and γ⁽²⁾
+    are exact integer max-pushes from their support (a > 0, δ̃ > 0,
+    γ⁽¹⁾ > 1), coverage is pulled over the white nodes with a > 0 only, and
+    δ̃ is decremented from the newly gray rows.  Once every node is gray no
+    exchange reads the CSR.  Each exchange is still exactly one operator
+    call, made unconditionally, so shard slabs stay in lockstep.
+
     Returns ``{k: (x, metrics)}`` for every requested k.
     """
     power_cache: dict[tuple[float, float], float] = {}
@@ -488,6 +538,8 @@ def run_algorithm3_bulk_multi_k(
     delta_one = bulk.closed_max(bulk.degrees)
     delta_two = bulk.closed_max(delta_one)
     initial_gamma_two = (delta_two + 1).astype(np.float64)
+    degree_bits = int_payload_bits(bulk.degrees)
+    delta_one_bits = int_payload_bits(delta_one)
 
     results: dict[int, tuple[np.ndarray, ExecutionMetrics]] = {}
     for k in k_values:
@@ -496,8 +548,8 @@ def run_algorithm3_bulk_multi_k(
         x = np.zeros(bulk.n, dtype=np.float64)
         white = np.ones(bulk.n, dtype=bool)
         metrics = BulkMetricsBuilder(bulk.degrees)
-        metrics.record_exchange(int_payload_bits(bulk.degrees))
-        metrics.record_exchange(int_payload_bits(delta_one))
+        metrics.record_exchange(degree_bits)
+        metrics.record_exchange(delta_one_bits)
         gamma_two = initial_gamma_two
         dynamic_degree = bulk.degrees + 1
         recorder = None
@@ -510,22 +562,32 @@ def run_algorithm3_bulk_multi_k(
                     metrics.exchange_count, ell, dynamic_degree, x, white,
                     gamma_two=gamma_two,
                 )
+            # Lines 7-9's threshold γ⁽²⁾^(ℓ/(ℓ+1)) is ≥ 1 and γ⁽²⁾ only
+            # changes at lines 24-27: evaluate it once per outer iteration,
+            # at the nodes whose δ̃ can still reach it (δ̃ never grows).
+            live = np.flatnonzero(dynamic_degree)
+            threshold = np.full(bulk.n, np.inf)
+            threshold[live] = _unique_powers_cached(
+                gamma_two[live], ell / (ell + 1), power_cache
+            )
             for m in range(k - 1, -1, -1):
-                # Lines 7-9: activity threshold γ⁽²⁾^(ℓ/(ℓ+1)), one exchange.
-                threshold = _unique_powers_cached(
-                    gamma_two, ell / (ell + 1), power_cache
-                )
+                # Lines 7-9: activity flags, one exchange.
                 active = dynamic_degree >= threshold
                 metrics.record_exchange(BOOL_PAYLOAD_BITS)
 
-                # Lines 10-11: a(v) = active nodes in N(v); 0 for gray nodes.
+                # Lines 10-11: a(v) = active nodes in N[v]; 0 for gray
+                # nodes.  The count is pushed from the active rows.
                 a_value = np.where(
-                    white, bulk.neighbor_count(active) + active, 0
-                ).astype(np.int64)
+                    white,
+                    bulk.neighbor_count(active, support=np.flatnonzero(active))
+                    + active,
+                    0,
+                )
 
-                # Lines 12-13: exchange a-values, closed-neighbourhood max.
+                # Lines 12-13: exchange a-values, closed-neighbourhood max,
+                # pushed from the nodes with a(v) > 0.
                 metrics.record_exchange(int_payload_bits(a_value))
-                a_one = bulk.closed_max(a_value)
+                a_one = bulk.closed_max(a_value, support=np.flatnonzero(a_value))
 
                 # Lines 15-17: active nodes raise x to a⁽¹⁾^(−m/(m+1));
                 # a⁽¹⁾ ≥ 1 whenever a node is active, so the power is
@@ -541,26 +603,27 @@ def run_algorithm3_bulk_multi_k(
                         dynamic_degree, a_value=a_value, a_one=a_one,
                     )
 
-                # Line 18: exchange x-values; line 19: colour once covered.
-                metrics.record_exchange(float_payload_bits(x))
-                coverage = x + bulk.neighbor_sum(x)
-                if recorder is not None:
-                    recorder.colored_gray(
-                        metrics.exchange_count, ell, m, white & (coverage >= 1.0)
-                    )
-                white &= coverage < 1.0
-
-                # Lines 20-21: exchange colours, recompute dynamic degree.
-                metrics.record_exchange(BOOL_PAYLOAD_BITS)
-                dynamic_degree = bulk.neighbor_count(white) + white
+                # Lines 18-19: exchange x-values, colour once covered --
+                # only x-values of active nodes moved, so only the white
+                # nodes with a(v) > 0 can newly be covered; lines 20-21:
+                # exchange colours, update dynamic degree.
+                dynamic_degree = _colour_exchanges(
+                    bulk, metrics, recorder, ell, m,
+                    x, white, np.flatnonzero(a_value), dynamic_degree,
+                )
 
             # Lines 24-27: two exchanges refreshing γ⁽²⁾, floored at 1.
+            # Both maxima are pushed from their support: the nodes with
+            # δ̃ > 0, then those with γ⁽¹⁾ > 1 (flooring first leaves every
+            # other node at the minimum, 1).
             metrics.record_exchange(int_payload_bits(dynamic_degree))
-            gamma_one = bulk.closed_max(dynamic_degree)
-            metrics.record_exchange(int_payload_bits(gamma_one))
-            gamma_two = np.maximum(
-                bulk.closed_max(gamma_one).astype(np.float64), 1.0
+            gamma_one = bulk.closed_max(
+                dynamic_degree, support=np.flatnonzero(dynamic_degree)
             )
+            metrics.record_exchange(int_payload_bits(gamma_one))
+            gamma_two = bulk.closed_max(
+                np.maximum(gamma_one, 1), support=np.flatnonzero(gamma_one > 1)
+            ).astype(np.float64)
         results[k] = (x, metrics.build(bulk.nodes))
     return results
 

@@ -5,8 +5,10 @@ one :class:`~repro.simulator.message.Message` object per edge per round.
 That fidelity is what makes traces and fault injection possible, but it caps
 executions at a few thousand nodes.  This module provides the substrate for
 an alternative *bulk-synchronous* execution style: every "send X to all
-neighbours / receive" step of the paper's algorithms is one whole-graph
-array operation over a CSR view of the adjacency structure.
+neighbours / receive" step of the paper's algorithms is one array
+operation over a CSR view of the adjacency structure -- over the whole
+graph, or over just the rows of the nodes the exchange can still change
+(see *Frontier arguments* below).
 
 Two invariants tie this module to the simulator so the two backends stay
 numerically interchangeable:
@@ -25,11 +27,34 @@ numerically interchangeable:
   exchange and the round-0 exchange share the first
   :class:`~repro.simulator.metrics.RoundMetrics` entry, and the final round
   (in which every program terminates without sending) is an empty entry.
+
+**Frontier arguments.**  The neighbourhood operators take an optional
+index array naming the only nodes an exchange still has to touch, so a
+kernel whose live set shrinks does work in proportion to that set, not
+to the 2m CSR positions:
+
+* ``neighbor_sum(values, rows=R)`` *pulls* only the rows ``R`` and
+  returns ``neighbor_sum(values)[R]`` bit for bit: each row is still
+  accumulated whole, left to right, so no float sum changes order.
+* ``neighbor_count(flags, support=S)`` and ``closed_max(values,
+  support=S)`` *push* integers from the rows ``S`` to their neighbours.
+  ``S`` must hold every node whose flag is set (count) or whose value
+  exceeds the array's minimum (max); then the result equals the full
+  reduction exactly, since integer counts and maxima do not depend on
+  the order they are formed in.
+
+A call with a frontier argument still stands for one exchange: the shard
+slabs of :mod:`repro.simulator.sharded` accept the argument but do their
+full reduction and mailbox exchange anyway (of a ``rows`` pull they
+return the requested entries), which under the contracts above gives the
+same values.  So a kernel must make every operator call unconditionally,
+even on an empty frontier: all shards step through the same supersteps.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, compress
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
@@ -285,8 +310,24 @@ class BulkGraph:
     # Neighbourhood operators                                             #
     # ------------------------------------------------------------------ #
 
+    def _row_positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR positions of the given rows, row after row, and each row's length.
+
+        O(len(rows) + their total degree): the one place the frontier
+        arguments read the adjacency.
+        """
+        counts = self.degrees[rows]
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        positions = np.repeat(self.indptr[rows] - (ends - counts), counts)
+        positions += np.arange(total, dtype=np.int64)
+        return positions, counts
+
     def neighbor_sum(
-        self, values: np.ndarray, edge_mask: np.ndarray | None = None
+        self,
+        values: np.ndarray,
+        edge_mask: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node sum of ``values`` over the *open* neighbourhood.
 
@@ -296,27 +337,51 @@ class BulkGraph:
         masked-out entries from the accumulation entirely -- the surviving
         entries keep their relative order, so the sum equals the simulated
         inbox sum of only the delivered messages, bit for bit.
+
+        ``rows`` (node indices; no ``edge_mask`` with it) pulls only those
+        rows and returns ``neighbor_sum(values)[rows]``, bit for bit, in
+        O(their degree): every pulled row is still accumulated whole and
+        in order.
         """
         values = np.asarray(values, dtype=np.float64)
-        if edge_mask is None:
-            return np.bincount(
-                self.row, weights=values[self.col], minlength=self.n
-            )
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        return np.bincount(
-            self.row[edge_mask],
-            weights=values[self.col[edge_mask]],
-            minlength=self.n,
-        )
+        if rows is None:
+            owner, senders, size = self.row, self.col, self.n
+        else:
+            if edge_mask is not None:
+                raise ValueError("rows pulls whole rows; it takes no edge_mask")
+            rows = np.asarray(rows, dtype=np.int64)
+            positions, counts = self._row_positions(rows)
+            owner = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+            senders, size = self.col[positions], rows.size
+        if edge_mask is not None:
+            edge_mask = np.asarray(edge_mask, dtype=bool)
+            owner, senders = owner[edge_mask], senders[edge_mask]
+        # astype: bincount returns int64 when there is nothing to sum.
+        sums = np.bincount(owner, weights=values[senders], minlength=size)
+        return sums.astype(np.float64, copy=False)
 
     def neighbor_count(
-        self, flags: np.ndarray, edge_mask: np.ndarray | None = None
+        self,
+        flags: np.ndarray,
+        edge_mask: np.ndarray | None = None,
+        support: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node count of ``True`` flags over the open neighbourhood.
 
         ``edge_mask`` restricts the count to unmasked CSR positions.
+
+        ``support`` (node indices; no ``edge_mask`` with it) must contain
+        every node whose flag is set: the count is then pushed from those
+        rows to their neighbours in O(their degree), with the same result.
         """
-        mask = np.asarray(flags, dtype=bool)[self.col]
+        flags = np.asarray(flags, dtype=bool)
+        if support is not None:
+            if edge_mask is not None:
+                raise ValueError("support pushes from rows; it takes no edge_mask")
+            support = np.asarray(support, dtype=np.int64)
+            positions, _ = self._row_positions(support[flags[support]])
+            return np.bincount(self.col[positions], minlength=self.n)
+        mask = flags[self.col]
         if edge_mask is not None:
             mask = mask & np.asarray(edge_mask, dtype=bool)
         return np.bincount(self.row[mask], minlength=self.n)
@@ -326,6 +391,7 @@ class BulkGraph:
         values: np.ndarray,
         senders: np.ndarray | None = None,
         edge_mask: np.ndarray | None = None,
+        support: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node maximum of ``values`` over the *closed* neighbourhood.
 
@@ -336,9 +402,25 @@ class BulkGraph:
         messages under fault injection).  A node's *own* value always
         participates (the per-node programs seed their running maximum
         with it before reading the inbox).
+
+        ``support`` (node indices; neither mask with it) must contain every
+        node whose value exceeds ``values.min()``: the maxima are then
+        pushed from those rows to their neighbours in O(their degree),
+        with the same result: an integer maximum does not depend on the
+        order its operands arrive in (a float one can differ in the sign
+        of a zero).
         """
         values = np.asarray(values)
         result = values.copy()
+        if support is not None:
+            if senders is not None or edge_mask is not None:
+                raise ValueError("support pushes from rows; it takes no masks")
+            support = np.asarray(support, dtype=np.int64)
+            positions, counts = self._row_positions(support)
+            np.maximum.at(
+                result, self.col[positions], np.repeat(values[support], counts)
+            )
+            return result
         if self.col.size:
             contributions = values[self.col]
             keep: np.ndarray | None = None
@@ -448,10 +530,20 @@ class BulkMetricsBuilder:
 
     def __init__(self, degrees: np.ndarray) -> None:
         self._degrees = np.asarray(degrees, dtype=np.int64)
+        self._total_degree = int(self._degrees.sum())
+        self._broadcasting = self._degrees > 0
         # (messages, total_bits, max_bits) per exchange, in execution order.
         self._exchanges: list[tuple[int, int, int]] = []
-        self._bits_per_node = np.zeros(self._degrees.size, dtype=np.int64)
-        self._messages_per_node = np.zeros(self._degrees.size, dtype=np.int64)
+        # In an exchange without ``senders`` every node broadcasts: it adds
+        # ``degrees`` messages and ``payload · degrees`` bits per node, so
+        # only the count and the summed payloads are kept here and
+        # multiplied out at build (a scalar payload is O(1) to record).
+        self._broadcasts = 0
+        self._uniform_bits = 0
+        self._broadcast_bits = np.zeros(self._degrees.size, dtype=np.int64)
+        # Exchanges with a ``senders`` mask are accounted node by node.
+        self._masked_messages = np.zeros(self._degrees.size, dtype=np.int64)
+        self._masked_bits = np.zeros(self._degrees.size, dtype=np.int64)
 
     def record_exchange(
         self, payload_bits: np.ndarray | int, senders: np.ndarray | None = None
@@ -470,20 +562,30 @@ class BulkMetricsBuilder:
             pass the still-running mask so the modeled counts equal the
             simulator's, where terminated programs stop sending.
         """
-        bits = np.broadcast_to(
-            np.asarray(payload_bits, dtype=np.int64), self._degrees.shape
-        )
         degrees = self._degrees
         if senders is None:
-            sent = degrees
-        else:
-            sent = np.where(np.asarray(senders, dtype=bool), degrees, 0)
+            self._broadcasts += 1
+            messages = self._total_degree
+            if np.ndim(payload_bits) == 0:
+                bits = int(payload_bits)
+                self._uniform_bits += bits
+                self._exchanges.append(
+                    (messages, bits * messages, bits if messages else 0)
+                )
+                return
+            bits = np.asarray(payload_bits, dtype=np.int64)
+            self._broadcast_bits += bits
+            max_bits = np.max(bits, where=self._broadcasting, initial=0)
+            self._exchanges.append((messages, int(bits @ degrees), int(max_bits)))
+            return
+        bits = np.broadcast_to(np.asarray(payload_bits, dtype=np.int64), degrees.shape)
+        sent = np.where(np.asarray(senders, dtype=bool), degrees, 0)
         active = np.flatnonzero(sent > 0)
-        total_bits = int((bits * sent).sum())
+        sent_bits = bits * sent
         max_bits = int(bits[active].max()) if active.size else 0
-        self._exchanges.append((int(sent.sum()), total_bits, max_bits))
-        self._bits_per_node += bits * sent
-        self._messages_per_node += sent
+        self._exchanges.append((int(sent.sum()), int(sent_bits.sum()), max_bits))
+        self._masked_messages += sent
+        self._masked_bits += sent_bits
 
     @property
     def exchange_count(self) -> int:
@@ -519,12 +621,15 @@ class BulkMetricsBuilder:
                     max_message_bits=max_bits,
                 )
             )
-        positions = np.flatnonzero(self._messages_per_node > 0)
-        senders = [nodes[position] for position in positions.tolist()]
-        metrics.messages_per_node.update(
-            zip(senders, self._messages_per_node[positions].tolist())
-        )
-        metrics.bits_per_node.update(
-            zip(senders, self._bits_per_node[positions].tolist())
-        )
+        degrees = self._degrees
+        messages = self._masked_messages + self._broadcasts * degrees
+        bits = self._masked_bits + (self._broadcast_bits + self._uniform_bits) * degrees
+        sending = messages > 0
+        if sending.all():
+            senders: Sequence[Hashable] = nodes
+        else:
+            senders = list(compress(nodes, sending.tolist()))
+            messages, bits = messages[sending], bits[sending]
+        metrics.messages_per_node = defaultdict(int, zip(senders, messages.tolist()))
+        metrics.bits_per_node = defaultdict(int, zip(senders, bits.tolist()))
         return metrics

@@ -36,10 +36,14 @@ The kernels in :mod:`repro.core.vectorized` run **unchanged** on each
 slab: :class:`ShardSlab` exposes the operator subset they use (``n``,
 ``nodes``, ``degrees``, ``neighbor_sum``, ``neighbor_count``,
 ``closed_max``, ``neighbor_any``) with the exchange embedded inside each
-operator.  Their control flow is driven only by global parameters (k, Δ)
--- the one data-dependent branch (Algorithm 3's ``active.any()`` boost)
-contains no exchange -- so all shards execute the same superstep sequence
-in lockstep, including shards that own zero vertices.
+operator.  The operators accept the kernels' frontier arguments
+(``rows`` / ``support``, see :mod:`repro.simulator.bulk`) and still do
+the full local reduction: the exchange is due whatever the local
+frontier holds.  The kernels' control flow is driven only by global
+parameters (k, Δ) -- they make every operator call unconditionally, even
+on an empty frontier, and their data-dependent branches contain no
+exchange -- so all shards execute the same superstep sequence in
+lockstep, including shards that own zero vertices.
 
 **Fault injection** rides the same machinery: the faulted kernels take a
 schedule view alongside the slab, and each worker re-materializes the
@@ -259,7 +263,10 @@ class ShardSlab:
     # ------------------------------------------------------------------ #
 
     def neighbor_sum(
-        self, values: np.ndarray, edge_mask: np.ndarray | None = None
+        self,
+        values: np.ndarray,
+        edge_mask: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node open-neighbourhood sum; row order matches the global CSR.
 
@@ -267,28 +274,34 @@ class ShardSlab:
         :class:`~repro.simulator.fault_schedule.SlabScheduleView`) drops
         masked-out entries from the accumulation, exactly as the
         whole-graph operator does for the matching global positions.
+        ``rows`` (local indices) selects the entries to return; the slab
+        still reduces every row, after its one exchange.
         """
         ghost_values = self._exchange(values)
         combined = np.concatenate(
             (np.asarray(values, dtype=np.float64), ghost_values)
         )
-        if edge_mask is None:
-            return np.bincount(
-                self.layout.row,
-                weights=combined[self.layout.col],
-                minlength=self.n,
-            )
-        edge_mask = np.asarray(edge_mask, dtype=bool)
-        return np.bincount(
-            self.layout.row[edge_mask],
-            weights=combined[self.layout.col[edge_mask]],
-            minlength=self.n,
-        )
+        row, col = self.layout.row, self.layout.col
+        if edge_mask is not None:
+            edge_mask = np.asarray(edge_mask, dtype=bool)
+            row, col = row[edge_mask], col[edge_mask]
+        # astype: bincount returns int64 when there is nothing to sum.
+        sums = np.bincount(row, weights=combined[col], minlength=self.n)
+        sums = sums.astype(np.float64, copy=False)
+        return sums if rows is None else sums[rows]
 
     def neighbor_count(
-        self, flags: np.ndarray, edge_mask: np.ndarray | None = None
+        self,
+        flags: np.ndarray,
+        edge_mask: np.ndarray | None = None,
+        support: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-node count of set flags over the open neighbourhood."""
+        """Per-node count of set flags over the open neighbourhood.
+
+        ``support`` is accepted and ignored: the exchange is due whatever
+        the local frontier holds, and under the argument's contract the
+        full count is the pushed one.
+        """
         ghost_flags = self._exchange(flags)
         combined = np.concatenate(
             (np.asarray(flags, dtype=bool), ghost_flags.astype(bool))
@@ -303,12 +316,15 @@ class ShardSlab:
         values: np.ndarray,
         senders: np.ndarray | None = None,
         edge_mask: np.ndarray | None = None,
+        support: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-node closed-neighbourhood maximum (no sender masking).
 
         ``edge_mask`` suppresses individual slab entries (dropped
         messages); the node's own value always participates, matching
-        :meth:`BulkGraph.closed_max`.
+        :meth:`BulkGraph.closed_max`.  ``support`` is accepted and
+        ignored, like :meth:`neighbor_count`'s: under its contract the
+        full maximum is the same.
         """
         if senders is not None:
             raise NotImplementedError(
